@@ -128,7 +128,7 @@ fn main() {
     // Record the numbers for the repo (BENCH_parallel.json at the root).
     let json = format!(
         "{{\n  \"experiment\": \"parallel_scaling\",\n  \"meta\": {},\n  \"program\": \"l2_switch\",\n  \"batch\": {BATCH},\n  \"total_packets\": {TOTAL},\n  \"cores\": {cores},\n  \"results\": [\n{}\n  ]\n}}\n",
-        netdebug_bench::meta_json(BATCH, &netdebug_dataplane::PassConfig::default().to_string()),
+        netdebug_bench::meta_json(BATCH),
         json_rows.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_parallel.json");

@@ -14,7 +14,7 @@ use netdebug_hw::{Outcome, Processed};
 use netdebug_packet::testhdr::FLAG_EXPECT_DROP;
 use netdebug_packet::TestHeader;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// A violation detected by the checker.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -160,7 +160,7 @@ pub struct Checker {
     streams: HashMap<u16, StreamStats>,
     expectations: HashMap<u16, Expectation>,
     violations: Vec<Violation>,
-    seen_seqs: HashMap<u16, Vec<u64>>,
+    seen_seqs: HashMap<u16, HashSet<u64>>,
     /// Cycles of checker work per packet (line-rate budget accounting).
     pub check_cycles_per_packet: u64,
     packets_checked: u64,
@@ -244,11 +244,8 @@ impl Checker {
             }
         }
         stats.highest_seq = Some(stats.highest_seq.map_or(seq, |h| h.max(seq)));
-        let seen = self.seen_seqs.entry(stream).or_default();
-        if seen.contains(&seq) {
+        if !self.seen_seqs.entry(stream).or_default().insert(seq) {
             stats.duplicates += 1;
-        } else {
-            seen.push(seq);
         }
         if !crc_ok {
             stats.corrupted += 1;
@@ -364,6 +361,18 @@ mod tests {
         assert_eq!(s.latency.min(), 50);
         assert_eq!(s.latency.max(), 300);
         assert!(s.latency.mean() > 0.0);
+        assert!(c.violations().is_empty());
+
+        // A second duplicate, late in a long stream.
+        for seq in 4..4096u64 {
+            let f = gen_frame(1, seq, seq * 100, Expectation::Forward { port: Some(2) });
+            c.observe(&Outcome::Tx { port: 2, data: f }, seq * 100 + 50, "egress");
+        }
+        let f = gen_frame(1, 4000, 400_000, Expectation::Forward { port: Some(2) });
+        c.observe(&Outcome::Tx { port: 2, data: f }, 409_700, "egress");
+        let s = c.stream(1).unwrap();
+        assert_eq!(s.received, 5 + 4092 + 1);
+        assert_eq!(s.duplicates, 2);
         assert!(c.violations().is_empty());
     }
 

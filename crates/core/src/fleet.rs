@@ -513,7 +513,8 @@ impl DifferentialFleet {
     /// as a [`DropReason::Faulted`] drop by the recovery path) is excluded
     /// from outcome comparison — the recovery record already accounts for
     /// it — so a recovered member whose post-skip verdicts match the
-    /// reference diffs clean.
+    /// reference diffs clean. The same holds for the reference member:
+    /// the row of its own skipped culprit counts as agreement.
     fn diff(
         &self,
         per_member: Vec<Option<MemberObservations>>,
@@ -526,18 +527,25 @@ impl DifferentialFleet {
         let mut divergences = Vec::new();
         let mut agreements = 0usize;
         if let Some((Some(ref_results), rest)) = per_member.split_first() {
+            let faulted = |out: &Outcome| {
+                matches!(
+                    out,
+                    Outcome::Dropped {
+                        reason: DropReason::Faulted
+                    }
+                )
+            };
             for i in 0..packets {
                 let (ref_out, ref_stages) = &ref_results[i];
+                if faulted(ref_out) {
+                    agreements += 1;
+                    continue;
+                }
                 let mut clean = true;
                 for (m, results) in rest.iter().enumerate() {
                     let Some(results) = results else { continue };
                     let (out, stages) = &results[i];
-                    if matches!(
-                        out,
-                        Outcome::Dropped {
-                            reason: DropReason::Faulted
-                        }
-                    ) {
+                    if faulted(out) {
                         continue;
                     }
                     if let Some(detail) = outcome_divergence(ref_out, out, ref_stages, stages) {
@@ -990,6 +998,29 @@ mod tests {
         assert_eq!(pub_rec.stage, "driver");
         assert!(pub_rec.culprit.is_none(), "absorbed before any frame died");
         assert_eq!(fleet.len(), 16, "every member returns to the fleet");
+    }
+
+    #[test]
+    fn recovered_reference_member_causes_no_divergences() {
+        use netdebug_hw::FaultSpec;
+        // The reference member's own skipped culprit is a Faulted drop on
+        // its side only: every healthy member forwards that frame, and the
+        // row must count as agreement, not as one divergence per member.
+        let spec = StreamSpec::simple(1, frame(4), 24, Expectation::Forward { port: Some(1) });
+        let mut reference = router(&Backend::reference());
+        reference.arm_fault(FaultSpec::PanicAfterN { n: 9 });
+        let mut fleet = DifferentialFleet::new()
+            .with("reference", reference)
+            .with("member-0", router(&Backend::sdnet_fixed()))
+            .with("member-1", router(&Backend::sdnet_fixed()));
+        fleet.set_recovery(Some(RecoveryPolicy::default()));
+        let report = fleet.run_window(&spec);
+        assert!(report.faults.is_empty(), "{:#?}", report.faults);
+        assert_eq!(report.divergences.len(), 0, "{:#?}", report.divergences);
+        assert_eq!(report.recoveries.len(), 1);
+        assert_eq!(report.recovered_members(), vec!["reference"]);
+        assert_eq!(report.agreements, 24);
+        assert!(report.equivalent());
     }
 
     #[test]

@@ -368,11 +368,6 @@ pub struct RecoveryPolicy {
     /// — after a trip, at most this many frames (plus the failed batch)
     /// replay silently from the last checkpoint.
     pub checkpoint_interval: u64,
-    /// Virtual-cycle liveness deadline: the watchdog burn charged to a
-    /// wedged device's clock before it is declared dead. Recovery
-    /// restores the pre-wedge clock, so the burn is observable only on
-    /// permanently quarantined members.
-    pub watchdog_cycles: u64,
 }
 
 impl Default for RecoveryPolicy {
@@ -380,7 +375,6 @@ impl Default for RecoveryPolicy {
         RecoveryPolicy {
             max_recoveries: 4,
             checkpoint_interval: 64,
-            watchdog_cycles: DEFAULT_WATCHDOG_CYCLES,
         }
     }
 }
@@ -813,7 +807,6 @@ pub fn drive_device_recovering<S: DeviceSink + ?Sized>(
             flows,
             &mut cursors,
             &mut ctl,
-            policy,
             sink,
             &mut stats,
             payload,
@@ -886,13 +879,12 @@ fn permanent_fault(
 // The Err arm carries the full quarantine evidence (fault id, stage,
 // detail, culprit frame) by design; it is built once per permanent
 // quarantine, never on the hot path, so the size lint does not apply.
-#[allow(clippy::too_many_arguments, clippy::result_large_err)]
+#[allow(clippy::result_large_err)]
 fn try_recover<S: DeviceSink + ?Sized>(
     device: &mut Device,
     flows: &[FlowRun],
     cursors: &mut Vec<FlowCursor>,
     ctl: &mut RecoverCtl,
-    policy: RecoveryPolicy,
     sink: &mut S,
     stats: &mut RuntimeStats,
     payload: Option<Box<dyn std::any::Any + Send>>,
@@ -968,7 +960,7 @@ fn try_recover<S: DeviceSink + ?Sized>(
             let (f, s, _) = describe_stall(Some(&culprit));
             let d = format!(
                 "device went silent at flow {} seq {}; virtual watchdog fired after {} cycles",
-                culprit.flow, culprit.seq, policy.watchdog_cycles
+                culprit.flow, culprit.seq, DEFAULT_WATCHDOG_CYCLES
             );
             (f, s, d)
         }
@@ -1878,5 +1870,52 @@ mod tests {
             vec![3, 5, 7]
         );
         assert_eq!(wheel.pop_next(&mut ready), None);
+    }
+
+    /// A device that trips on every frame of its flow uses up the whole
+    /// recovery budget — one rejoin per skipped culprit — and the next
+    /// trip quarantines it permanently.
+    #[test]
+    fn exhausted_recovery_budget_quarantines_permanently() {
+        use crate::generator::{Expectation, Generator, StreamSpec};
+        use netdebug_hw::{Backend, FaultSpec};
+
+        struct Count(usize);
+        impl DeviceSink for Count {
+            fn on_packet(&mut self, _flow: u32, _seq: u64, _p: Processed) {
+                self.0 += 1;
+            }
+        }
+
+        let mut device =
+            Device::deploy_source(&Backend::reference(), netdebug_p4::corpus::IPV4_FORWARD)
+                .unwrap();
+        device.arm_fault(FaultSpec::PanicOnPort { port: 1 });
+        let spec = StreamSpec::simple(1, vec![0u8; 64], 16, Expectation::Any);
+        let frames = Arc::new(Generator::new().build_batch(&spec, 0, 16, 0, 0));
+        let flows = [FlowRun::new(1, 1, frames)];
+        let mut sink = Count(0);
+        let (_, result, recoveries, fault) = drive_device_recovering(
+            &mut device,
+            &flows,
+            256,
+            &mut sink,
+            RecoveryPolicy::default(),
+        );
+        assert!(result.is_ok());
+        assert_eq!(recoveries.len(), 4);
+        let seqs: Vec<u64> = recoveries
+            .iter()
+            .map(|r| r.culprit.as_ref().unwrap().seq)
+            .collect();
+        assert_eq!(seqs, vec![0, 1, 2, 3], "one rejoin per skipped culprit");
+        let fault = fault.expect("the fifth trip is permanent");
+        assert_eq!(fault.fault, "panic-on-port");
+        assert!(
+            fault.detail.contains("recovery budget exhausted"),
+            "{}",
+            fault.detail
+        );
+        assert_eq!(sink.0, 4, "only the skipped culprits reached the sink");
     }
 }

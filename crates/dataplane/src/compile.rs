@@ -37,7 +37,6 @@ use crate::bits::{read_bits, write_bits};
 use crate::cache::MissRecord;
 use crate::externs::ExternState;
 use crate::interp::{Env, TablesRef, FLOOD_PORT, PARSER_STATE_BUDGET};
-use crate::opt::PassConfig;
 use crate::table::TableStats;
 use crate::trace::{DropReason, TraceBuf, TraceName, TraceTables, Verdict};
 use netdebug_p4::ast::{BinOp, UnOp};
@@ -164,39 +163,6 @@ pub enum OpCode {
     ControlEnter(u32),
     /// Pipeline epilogue: drop checks, deparse, verdict. Terminal.
     Finish,
-
-    // -------- optimizer-introduced --------
-    /// No-op: a pass-eliminated instruction awaiting compaction. Never
-    /// present in a finished [`CompiledProgram`] (the optimizer compacts
-    /// after every pass), but executable all the same.
-    Nop,
-    /// Superinstruction `push-const + binop`: replaces the top of stack
-    /// `x` with `op(x, k)` at the given width — one dispatch instead of
-    /// a push and a pop.
-    ConstBin(BinOp, u16, u128),
-    /// Superinstruction `compare + branch`: pops rhs then lhs, jumps to
-    /// the target when `op(lhs, rhs)` is zero. Fused from
-    /// [`OpCode::Bin`] + [`OpCode::BranchIfZero`]; nothing is pushed.
-    CmpBranch(BinOp, u16, u32),
-    /// Superinstruction `compare-with-constant + branch`: pops the lhs,
-    /// jumps to the target when `op(lhs, k)` is zero. The second fusion
-    /// step of `Const; Bin; BranchIfZero`.
-    ConstCmpBranch(BinOp, u16, u128, u32),
-    /// Superinstruction `extract-field + apply`: evaluates a single
-    /// header-field key (0 when the header is invalid, as
-    /// [`OpCode::LoadField`] defines) straight into the key scratch and
-    /// applies the table — the l2_switch/corpus hot pair, skipping the
-    /// value stack entirely.
-    FieldApply {
-        /// Header id of the key field.
-        h: u32,
-        /// Field index of the key field.
-        f: u32,
-        /// Table id.
-        tid: u32,
-        /// Local receiving hit=1/miss=0, or `u32::MAX` for none.
-        hit_into: u32,
-    },
 }
 
 /// One compiled `select` dispatch table.
@@ -253,33 +219,14 @@ pub struct CompiledProgram {
     /// indexed by the corresponding IR id — the tables a `LazyTrace`
     /// resolves flat record ids against.
     pub(crate) names: TraceTables,
-    /// The optimization passes this program was compiled with
-    /// (observability: the disassembly header and bench metadata report
-    /// it).
-    pub(crate) passes: PassConfig,
 }
 
 impl CompiledProgram {
-    /// Lower `prog` into the flat engine and run the default optimization
-    /// pipeline over it. Called once per [`crate::Dataplane`]
-    /// construction; the result is immutable and shared (`Arc`) across
-    /// clones, shards and pool workers.
+    /// Lower `prog` into the flat engine. Called once per
+    /// [`crate::Dataplane`] construction; the result is immutable and
+    /// shared (`Arc`) across clones, shards and pool workers.
     pub fn compile(prog: &ir::Program) -> CompiledProgram {
-        Self::compile_with(prog, PassConfig::default())
-    }
-
-    /// Lower `prog` and run only the optimization passes enabled in
-    /// `passes` ([`PassConfig::none`] yields the raw lowering).
-    pub fn compile_with(prog: &ir::Program, passes: PassConfig) -> CompiledProgram {
-        let mut cp = Compiler::new(prog).run();
-        crate::opt::optimize(&mut cp, passes);
-        cp.passes = passes;
-        cp
-    }
-
-    /// The optimization passes this program was compiled with.
-    pub fn passes(&self) -> PassConfig {
-        self.passes
+        Compiler::new(prog).run()
     }
 
     /// Number of flat instructions (observability for tests/benches).
@@ -473,7 +420,6 @@ impl<'p> Compiler<'p> {
                 actions: prog.actions.iter().map(|a| intern(&a.name)).collect(),
                 headers: prog.headers.iter().map(|h| intern(&h.name)).collect(),
             },
-            passes: PassConfig::none(),
         }
     }
 
@@ -775,28 +721,6 @@ pub(crate) fn exec(
                 env.stack.pop();
             }
 
-            // -------- superinstructions --------
-            OpCode::Nop => {}
-            OpCode::ConstBin(op, w, k) => {
-                let x = env.stack.last_mut().expect("const-bin lhs");
-                *x = bin_op(op, *x, k, w);
-            }
-            OpCode::CmpBranch(op, w, t) => {
-                let y = env.stack.pop().expect("cmp-branch rhs");
-                let x = env.stack.pop().expect("cmp-branch lhs");
-                if bin_op(op, x, y, w) == 0 {
-                    pc = t as usize;
-                    continue;
-                }
-            }
-            OpCode::ConstCmpBranch(op, w, k, t) => {
-                let x = env.stack.pop().expect("const-cmp-branch lhs");
-                if bin_op(op, x, k, w) == 0 {
-                    pc = t as usize;
-                    continue;
-                }
-            }
-
             // -------- control flow --------
             OpCode::Jump(t) => {
                 pc = t as usize;
@@ -833,30 +757,6 @@ pub(crate) fn exec(
                     env.key_scratch.push(v);
                 }
                 env.stack.truncate(base);
-                let aid = apply_keys(
-                    cp,
-                    tables,
-                    table_stats,
-                    env,
-                    &mut trace,
-                    &mut rec,
-                    tid,
-                    hit_into,
-                );
-                link = pc + 1;
-                pc = cp.action_pcs[aid] as usize;
-                continue;
-            }
-            OpCode::FieldApply {
-                h,
-                f,
-                tid,
-                hit_into,
-            } => {
-                let hv = &env.headers[h as usize];
-                let key = if hv.valid { hv.fields[f as usize] } else { 0 };
-                env.key_scratch.clear();
-                env.key_scratch.push(key);
                 let aid = apply_keys(
                     cp,
                     tables,
@@ -1016,9 +916,9 @@ pub(crate) fn exec(
     }
 }
 
-/// The shared tail of [`OpCode::Apply`] and [`OpCode::FieldApply`]:
-/// lookup on `env.key_scratch`, action-argument binding, statistics,
-/// hit-capture local, trace record. Returns the action id to enter.
+/// The tail of [`OpCode::Apply`]: lookup on `env.key_scratch`,
+/// action-argument binding, statistics, hit-capture local, trace
+/// record. Returns the action id to enter.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn apply_keys(
@@ -1058,8 +958,7 @@ fn apply_keys(
     aid
 }
 
-/// Binary operator semantics, shared verbatim with the reference `eval`
-/// (and reused by the optimizer's constant folder).
+/// Binary operator semantics, shared verbatim with the reference `eval`.
 #[inline]
 pub(crate) fn bin_op(op: BinOp, x: u128, y: u128, w: u16) -> u128 {
     match op {
@@ -1144,91 +1043,38 @@ mod tests {
     use netdebug_p4::corpus;
 
     /// Every corpus program lowers to a flat program whose action table
-    /// and name tables line up with the IR — raw and under every single
-    /// optimization pass, with no `Nop` residue and all targets in range.
+    /// and name tables line up with the IR, with all targets in range.
     #[test]
     fn corpus_compiles_flat() {
-        let configs = [
-            PassConfig::none(),
-            PassConfig {
-                const_fold: true,
-                ..PassConfig::none()
-            },
-            PassConfig {
-                dead_store: true,
-                ..PassConfig::none()
-            },
-            PassConfig {
-                fuse: true,
-                ..PassConfig::none()
-            },
-            PassConfig {
-                jump_thread: true,
-                ..PassConfig::none()
-            },
-            PassConfig::default(),
-        ];
         for prog in corpus::corpus() {
             let ir = netdebug_p4::compile(prog.source).unwrap();
-            for passes in configs {
-                let cp = CompiledProgram::compile_with(&ir, passes);
-                assert!(cp.code_len() > 0, "{}: empty code", prog.name);
-                assert_eq!(cp.action_pcs.len(), ir.actions.len(), "{}", prog.name);
-                assert_eq!(cp.names.tables.len(), ir.tables.len(), "{}", prog.name);
-                assert_eq!(
-                    cp.names.states.len(),
-                    ir.parser.states.len(),
-                    "{}",
-                    prog.name
-                );
-                // Every jump/branch/action target lands inside the code,
-                // and compaction left no Nops behind.
-                let len = cp.code_len() as u32;
-                for op in &cp.code {
-                    match *op {
-                        OpCode::Jump(t)
-                        | OpCode::BranchIfZero(t)
-                        | OpCode::Exit(t)
-                        | OpCode::CmpBranch(_, _, t)
-                        | OpCode::ConstCmpBranch(_, _, _, t) => {
-                            assert!(t < len, "{}: target {t} out of range", prog.name)
-                        }
-                        OpCode::Nop => panic!("{}: Nop residue after optimize", prog.name),
-                        _ => {}
-                    }
-                }
-                for sel in &cp.selects {
-                    assert!(sel.default < len, "{}: select default", prog.name);
-                    for (_, t) in &sel.arms {
-                        assert!(*t < len, "{}: select arm", prog.name);
-                    }
-                }
-                for &a in &cp.action_pcs {
-                    assert!(a < len, "{}: action pc", prog.name);
+            let cp = CompiledProgram::compile(&ir);
+            assert!(cp.code_len() > 0, "{}: empty code", prog.name);
+            assert_eq!(cp.action_pcs.len(), ir.actions.len(), "{}", prog.name);
+            assert_eq!(cp.names.tables.len(), ir.tables.len(), "{}", prog.name);
+            assert_eq!(
+                cp.names.states.len(),
+                ir.parser.states.len(),
+                "{}",
+                prog.name
+            );
+            // Every jump/branch/action target lands inside the code.
+            let len = cp.code_len() as u32;
+            for op in &cp.code {
+                if let OpCode::Jump(t) | OpCode::BranchIfZero(t) | OpCode::Exit(t) = *op {
+                    assert!(t < len, "{}: target {t} out of range", prog.name)
                 }
             }
+            for sel in &cp.selects {
+                assert!(sel.default < len, "{}: select default", prog.name);
+                for (_, t) in &sel.arms {
+                    assert!(*t < len, "{}: select arm", prog.name);
+                }
+            }
+            for &a in &cp.action_pcs {
+                assert!(a < len, "{}: action pc", prog.name);
+            }
         }
-    }
-
-    /// The optimizer actually shrinks the hot corpus programs, and the
-    /// fused extract+apply superinstruction appears in l2_switch.
-    #[test]
-    fn optimizer_shrinks_and_fuses() {
-        let ir = netdebug_p4::compile(corpus::L2_SWITCH).unwrap();
-        let raw = CompiledProgram::compile_with(&ir, PassConfig::none());
-        let opt = CompiledProgram::compile_with(&ir, PassConfig::default());
-        assert!(
-            opt.code_len() < raw.code_len(),
-            "optimizer did not shrink l2_switch: {} -> {}",
-            raw.code_len(),
-            opt.code_len()
-        );
-        assert!(
-            opt.code
-                .iter()
-                .any(|op| matches!(op, OpCode::FieldApply { .. })),
-            "l2_switch single-field table applies should fuse"
-        );
     }
 
     /// Byte-aligned planning: Ethernet moves whole bytes, IPv4 keeps the

@@ -4,13 +4,10 @@
 //! instruction through [`core::fmt::Display`]: a four-digit instruction
 //! index, a mnemonic, operands with every interned name resolved (tables,
 //! actions, headers, parser states, controls) and `-> NNNN` arrows on
-//! jump targets. Action bodies are labelled at their entry points. This
-//! is the introspection surface for the optimization pipeline — diff the
-//! output of `CompiledProgram::compile_with(ir, PassConfig::none())`
-//! against the default to see exactly what the passes did:
+//! jump targets. Action bodies are labelled at their entry points:
 //!
 //! ```text
-//! 0011  field_apply      ethernet[0] dmac -> a0 smac_learn
+//! 0002  jump             -> 0004
 //! ```
 
 use crate::compile::{CompiledProgram, OpCode, NO_HIT_LOCAL};
@@ -34,7 +31,6 @@ impl fmt::Display for Disassembly<'_> {
         let cp = self.cp;
         let names = cp.names();
         let hdr = |h: u32| names.headers[h as usize].as_ref();
-        writeln!(f, "; passes: {}", cp.passes())?;
         for (pc, op) in cp.code.iter().enumerate() {
             for (aid, &entry) in cp.action_pcs.iter().enumerate() {
                 if entry as usize == pc {
@@ -87,24 +83,6 @@ impl fmt::Display for Disassembly<'_> {
                     }
                     writeln!(f)?
                 }
-                OpCode::FieldApply {
-                    h,
-                    f: x,
-                    tid,
-                    hit_into,
-                } => {
-                    write!(
-                        f,
-                        "{:<17}{}[{x}] {}",
-                        "field_apply",
-                        hdr(h),
-                        names.tables[tid as usize]
-                    )?;
-                    if hit_into != NO_HIT_LOCAL {
-                        write!(f, " hit->l{hit_into}")?;
-                    }
-                    writeln!(f)?
-                }
                 OpCode::MarkDrop => writeln!(f, "mark_drop")?,
                 OpCode::SetValidHdr(h, v) => writeln!(f, "{:<17}{} {v}", "set_valid", hdr(h))?,
                 OpCode::CounterInc(id) => writeln!(f, "{:<17}c{id}", "counter_inc")?,
@@ -129,18 +107,6 @@ impl fmt::Display for Disassembly<'_> {
                     writeln!(f, "{:<17}{}", "control_enter", names.controls[cid as usize])?
                 }
                 OpCode::Finish => writeln!(f, "finish")?,
-                OpCode::Nop => writeln!(f, "nop")?,
-                OpCode::ConstBin(op, w, k) => {
-                    writeln!(f, "{:<17}{op:?} w{w} k={k:#x}", "const_bin")?
-                }
-                OpCode::CmpBranch(op, w, t) => {
-                    writeln!(f, "{:<17}{op:?} w{w} -> {t:04}", "cmp_branch")?
-                }
-                OpCode::ConstCmpBranch(op, w, k, t) => writeln!(
-                    f,
-                    "{:<17}{op:?} w{w} k={k:#x} -> {t:04}",
-                    "const_cmp_branch"
-                )?,
             }
         }
         Ok(())
@@ -150,19 +116,17 @@ impl fmt::Display for Disassembly<'_> {
 #[cfg(test)]
 mod tests {
     use crate::compile::CompiledProgram;
-    use crate::opt::PassConfig;
     use netdebug_p4::corpus;
 
-    /// Pins the exact disassembly of the unoptimized reflector — the
-    /// smallest corpus program — so any change to lowering or rendering
-    /// is a conscious one.
+    /// Pins the exact disassembly of the reflector — the smallest corpus
+    /// program — so any change to lowering or rendering is a conscious
+    /// one.
     #[test]
     fn reflector_disassembly_is_pinned() {
         let ir = netdebug_p4::compile(corpus::REFLECTOR).unwrap();
-        let cp = CompiledProgram::compile_with(&ir, PassConfig::none());
+        let cp = CompiledProgram::compile(&ir);
         let text = format!("{}", cp.disassemble());
         let expected = "\
-; passes: none
 0000  state_enter      start
 0001  extract          ethernet
 0002  jump             -> 0004
@@ -182,21 +146,5 @@ NoAction:
 0015  return
 ";
         assert_eq!(text, expected, "actual:\n{text}");
-    }
-
-    /// The optimized l2_switch contains the fused extract+apply
-    /// superinstruction and renders its resolved names.
-    #[test]
-    fn optimized_l2_switch_shows_fusion() {
-        let ir = netdebug_p4::compile(corpus::L2_SWITCH).unwrap();
-        let cp = CompiledProgram::compile_with(&ir, PassConfig::default());
-        let text = format!("{}", cp.disassemble());
-        assert!(
-            text.contains("field_apply"),
-            "expected a fused field_apply:\n{text}"
-        );
-        let raw = CompiledProgram::compile_with(&ir, PassConfig::none());
-        let raw_text = format!("{}", raw.disassemble());
-        assert!(raw_text.lines().count() > text.lines().count());
     }
 }

@@ -55,7 +55,6 @@ use crate::cache::{CacheStats, FlowCache};
 use crate::compile::{self, CompiledProgram};
 use crate::control::{ControlError, ControlPlane};
 use crate::externs::{ExternState, MeterConfig};
-use crate::opt::PassConfig;
 use crate::pool::{Job, PacketArena, ShardSpan, WorkerPool};
 use crate::table::{EntrySnapshot, RuntimeEntry, TableState, TableStats, TableView};
 use crate::trace::{DropReason, LazyTrace, Trace, TraceBuf, TraceSink, Verdict};
@@ -422,19 +421,10 @@ fn resolve_views(pinned: &[Arc<EntrySnapshot>]) -> Vec<TableView<'_>> {
 
 impl Dataplane {
     /// Instantiate a data plane for a compiled program (const entries
-    /// installed, externs zeroed), with the default optimization
-    /// pipeline applied to the bytecode.
+    /// installed, externs zeroed).
     pub fn new(program: ir::Program) -> Self {
-        Self::with_passes(program, PassConfig::default())
-    }
-
-    /// Instantiate with an explicit bytecode optimization configuration
-    /// ([`PassConfig::none`] runs the raw lowering; individual passes
-    /// toggle independently). Everything else matches
-    /// [`Dataplane::new`].
-    pub fn with_passes(program: ir::Program, passes: PassConfig) -> Self {
         let tables = program.tables.iter().map(TableState::new).collect();
-        Self::assemble(program, tables, passes)
+        Self::assemble(program, tables)
     }
 
     /// Instantiate with per-table capacity overrides (used by hardware
@@ -446,10 +436,10 @@ impl Dataplane {
             .zip(capacities)
             .map(|(t, cap)| TableState::with_capacity(t, *cap))
             .collect();
-        Self::assemble(program, tables, PassConfig::default())
+        Self::assemble(program, tables)
     }
 
-    fn assemble(program: ir::Program, tables: Vec<TableState>, passes: PassConfig) -> Self {
+    fn assemble(program: ir::Program, tables: Vec<TableState>) -> Self {
         let externs = ExternState::new(&program.externs);
         let table_stats = vec![TableStats::default(); program.tables.len()];
         let parallel_class = program.parallel_class();
@@ -459,7 +449,7 @@ impl Dataplane {
             Vec::new()
         };
         let meter_sites_read_packet = program.meter_pre_pass_needs_parse();
-        let compiled = Arc::new(CompiledProgram::compile_with(&program, passes));
+        let compiled = Arc::new(CompiledProgram::compile(&program));
         let env_scratch = Env::new(&program);
         let cache_key_cap = match program.cacheability() {
             Cacheability::Cacheable => program
@@ -494,16 +484,6 @@ impl Dataplane {
             pool: None,
             arena_slot: None,
         }
-    }
-
-    /// Instantiate with the optimization configuration
-    /// [`crate::opt::autotune`] picks by micro-benchmarking every pass
-    /// combination on `sample` (a small `(port, frame)` batch shaped
-    /// like the expected traffic). Falls back to [`PassConfig::default`]
-    /// on an empty sample.
-    pub fn with_autotuned_passes(program: ir::Program, sample: &[(u16, Vec<u8>)]) -> Self {
-        let passes = crate::opt::autotune(&program, sample);
-        Self::with_passes(program, passes)
     }
 
     /// Whether batches of this program may be split into arbitrary
@@ -604,10 +584,8 @@ impl Dataplane {
         &self.compiled
     }
 
-    /// A printable disassembly of the (optimized) bytecode — one line
-    /// per instruction with mnemonic, resolved names and jump targets.
-    /// Compare against `Dataplane::with_passes(.., PassConfig::none())`
-    /// to inspect what the optimization pipeline changed.
+    /// A printable disassembly of the bytecode — one line per
+    /// instruction with mnemonic, resolved names and jump targets.
     pub fn disassemble(&self) -> crate::disasm::Disassembly<'_> {
         self.compiled.disassemble()
     }
@@ -628,11 +606,6 @@ impl Dataplane {
     /// since construction. Zero on a healthy engine.
     pub fn engine_faults(&self) -> u64 {
         self.engine_faults
-    }
-
-    /// The optimization passes the bytecode was compiled with.
-    pub fn passes(&self) -> PassConfig {
-        self.compiled.passes()
     }
 
     /// Flow-cache counters: hits, misses, invalidations, occupancy and

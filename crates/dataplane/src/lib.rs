@@ -11,8 +11,7 @@
 //! bytecode engine compiled at load time ([`compile`]) and the
 //! tree-walking reference interpreter it is differentially validated
 //! against, bit for bit, by the parity property tests. The bytecode is
-//! run through a peephole/superinstruction optimization pipeline
-//! ([`PassConfig`], module [`opt`]) and can be inspected with
+//! the direct lowering of the IR and can be inspected with
 //! [`Dataplane::disassemble`].
 //!
 //! ```
@@ -40,7 +39,6 @@ pub mod control;
 pub mod disasm;
 pub mod externs;
 pub mod interp;
-pub mod opt;
 mod pool;
 pub mod table;
 pub mod trace;
@@ -51,7 +49,6 @@ pub use control::{ControlError, ControlPlane};
 pub use disasm::Disassembly;
 pub use externs::MeterConfig;
 pub use interp::{Dataplane, DataplaneCheckpoint, Engine, FLOOD_PORT};
-pub use opt::PassConfig;
 pub use table::{
     lpm_pattern, EntryRef, EntrySnapshot, LookupIndex, RuntimeEntry, TableError, TableState,
     TableStats, TableView,

@@ -1,8 +1,7 @@
 //! Property-based tests for the reference interpreter.
 
 use netdebug_dataplane::{
-    lpm_pattern, Dataplane, Engine, EntrySnapshot, MeterConfig, PassConfig, RuntimeEntry,
-    TableState, Verdict,
+    lpm_pattern, Dataplane, Engine, EntrySnapshot, MeterConfig, RuntimeEntry, TableState, Verdict,
 };
 use netdebug_p4::ast::MatchKind;
 use netdebug_p4::corpus;
@@ -1075,73 +1074,14 @@ proptest! {
     }
 }
 
-/// Every optimization-pass toggle the parity sweep exercises: the full
-/// pipeline, the raw lowering, each pass alone, and each pass
-/// individually disabled (leave-one-out). A pass that is only ever
-/// correct *in combination* with another would slip past an
-/// all-on/all-off check; this sweep pins each one independently.
-fn pass_sweep() -> Vec<(&'static str, PassConfig)> {
-    let all = PassConfig::default();
-    let none = PassConfig::none();
-    vec![
-        ("all", all),
-        ("none", none),
-        (
-            "const_fold only",
-            PassConfig {
-                const_fold: true,
-                ..none
-            },
-        ),
-        (
-            "dead_store only",
-            PassConfig {
-                dead_store: true,
-                ..none
-            },
-        ),
-        ("fuse only", PassConfig { fuse: true, ..none }),
-        (
-            "jump_thread only",
-            PassConfig {
-                jump_thread: true,
-                ..none
-            },
-        ),
-        (
-            "no const_fold",
-            PassConfig {
-                const_fold: false,
-                ..all
-            },
-        ),
-        (
-            "no dead_store",
-            PassConfig {
-                dead_store: false,
-                ..all
-            },
-        ),
-        ("no fuse", PassConfig { fuse: false, ..all }),
-        (
-            "no jump_thread",
-            PassConfig {
-                jump_thread: false,
-                ..all
-            },
-        ),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Optimization passes preserve the reference semantics bit for bit,
-    /// each pass toggled independently: for every corpus program and
-    /// every sweep configuration, verdicts, traces and runtime state
-    /// match the tree-walking oracle exactly.
+    /// The lowering preserves the reference semantics bit for bit: for
+    /// every corpus program, verdicts, traces and runtime state match the
+    /// tree-walking oracle exactly, the reference stream run first.
     #[test]
-    fn pass_sweep_agrees_across_corpus(
+    fn lowering_agrees_across_corpus(
         prog_idx in 0usize..corpus::corpus().len(),
         frames in proptest::collection::vec(
             (0u16..4, proptest::collection::vec(any::<u8>(), 0..96)), 1..8),
@@ -1156,24 +1096,22 @@ proptest! {
         for (port, data) in &frames {
             expected.push(reference_dp.process(*port, data, u64::from(now)));
         }
-        for (label, passes) in pass_sweep() {
-            let mut dp = Dataplane::with_passes(ir.clone(), passes);
-            for ((port, data), (rv, rt)) in frames.iter().zip(&expected) {
-                let (cv, ct) = dp.process(*port, data, u64::from(now));
-                prop_assert_eq!(&cv, rv, "verdict diverged on {} [{}]", prog.name, label);
-                prop_assert_eq!(&ct, rt, "trace diverged on {} [{}]", prog.name, label);
-            }
-            assert_runtime_state_matches(&dp, &reference_dp)?;
+        let mut dp = Dataplane::new(ir);
+        for ((port, data), (rv, rt)) in frames.iter().zip(&expected) {
+            let (cv, ct) = dp.process(*port, data, u64::from(now));
+            prop_assert_eq!(&cv, rv, "verdict diverged on {}", prog.name);
+            prop_assert_eq!(&ct, rt, "trace diverged on {}", prog.name);
         }
+        assert_runtime_state_matches(&dp, &reference_dp)?;
     }
 
-    /// The sweep under batch pressure: a deployed router fed malformed and
-    /// truncated frames with a mid-stream epoch republication landing
-    /// between two windows. Every pass configuration must equal the
-    /// reference engine's windows bit for bit — verdicts, traces and
-    /// post-stream statistics.
+    /// The lowering under batch pressure: a deployed router fed malformed
+    /// and truncated frames through sequential `process_batch` with a
+    /// mid-stream epoch republication landing between two windows must
+    /// equal the reference engine's windows bit for bit — verdicts,
+    /// traces and post-stream statistics.
     #[test]
-    fn pass_sweep_agrees_under_batches_and_republication(
+    fn lowering_agrees_under_batches_and_republication(
         frames in proptest::collection::vec(
             (0u16..4, 0u8..5, proptest::collection::vec(any::<u8>(), 0..64)), 2..24),
         split in 1usize..23,
@@ -1202,12 +1140,10 @@ proptest! {
         let mut reference_dp = Dataplane::new(ir.clone());
         reference_dp.set_engine(Engine::Reference);
         let (r1, r2, reference_dp) = run(reference_dp);
-        for (label, passes) in pass_sweep() {
-            let (c1, c2, dp) = run(Dataplane::with_passes(ir.clone(), passes));
-            prop_assert_eq!(&c1, &r1, "pre-install window diverged [{}]", label);
-            prop_assert_eq!(&c2, &r2, "post-install window diverged [{}]", label);
-            assert_runtime_state_matches(&dp, &reference_dp)?;
-        }
+        let (c1, c2, dp) = run(Dataplane::new(ir));
+        prop_assert_eq!(&c1, &r1, "pre-install window diverged");
+        prop_assert_eq!(&c2, &r2, "post-install window diverged");
+        assert_runtime_state_matches(&dp, &reference_dp)?;
     }
 }
 
